@@ -24,7 +24,9 @@ either completed or failed.
 
 from __future__ import annotations
 
+import gc
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -226,16 +228,48 @@ def run_incast(
 
     The pre-RunOptions ``sanitize=`` keyword was removed after its
     deprecation cycle; passing it raises :class:`TypeError`.
+
+    A run's object graph is cyclic (nodes and ports point at each other,
+    and ports hold prebound callbacks), so only the cyclic GC can free it.
+    Left to automatic collections, a graph reaches the oldest generation
+    while it is being built, and dead graphs pile up between the rare full
+    collections.  The run therefore builds and simulates with the
+    collector paused, so its whole graph is still in the youngest
+    generation when it returns, and one collection of that generation
+    frees it.  That costs the size of the graph, not of the process's
+    heap, and is counted in ``IncastResult.wall_seconds``.  Should an
+    explicit collection inside the run have promoted the graph, a full
+    collection frees it instead.
     """
     if sanitize is not _SANITIZE_REMOVED:
         raise TypeError(
             "run_incast(..., sanitize=...) was removed; pass "
             "options=RunOptions(sanitize=...) instead"
         )
-    if options is None:
-        options = RunOptions()
-    spec = SCHEME_REGISTRY.get(scenario.scheme)
     wall_start = time.perf_counter()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result, sim_ref = _simulate(scenario, options if options is not None else RunOptions())
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    gc.collect(0)
+    if sim_ref() is not None:
+        gc.collect()
+    result.wall_seconds = time.perf_counter() - wall_start
+    return result
+
+
+def _simulate(
+    scenario: IncastScenario, options: RunOptions
+) -> tuple[IncastResult, weakref.ref[Simulator]]:
+    """Build and run ``scenario``; :func:`run_incast` sets ``wall_seconds``.
+
+    Returns the result and a weak reference to the run's simulator, which
+    is alive for as long as the run's object graph is.
+    """
+    spec = SCHEME_REGISTRY.get(scenario.scheme)
     inst = options.build_instrumentation()
     sim = Simulator(
         seed=scenario.seed, tracer=options.tracer, instrumentation=inst
@@ -341,7 +375,7 @@ def run_incast(
         flow_completion_ps=sorted(completions),
         completed=completed,
         events_executed=sim.events_executed,
-        wall_seconds=time.perf_counter() - wall_start,
+        wall_seconds=0.0,
         counters=counters,
         retransmissions=sum(s.stats.retransmissions for s in senders_list),
         timeouts=sum(s.stats.timeouts for s in senders_list),
@@ -364,7 +398,7 @@ def run_incast(
         conservation=conservation,
         telemetry=inst.finish(),
     )
-    return result
+    return result, weakref.ref(sim)
 
 
 def build_scenario(scheme: str = "baseline", **overrides) -> IncastScenario:

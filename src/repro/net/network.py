@@ -35,6 +35,15 @@ class Network:
         self._next_flow_id = 0
         self._finalized = False
         self._link_watchers: list = []
+        #: single-source Dijkstra trees, ``root -> {node: delay_ps}``, built
+        #: lazily by :meth:`min_delay_ps`
+        self._delay_trees: dict[int, dict[int, int]] = {}
+
+    def __getstate__(self) -> dict:
+        # The delay trees are a pure cache: checkpoints leave them out.
+        state = self.__dict__.copy()
+        state["_delay_trees"] = {}
+        return state
 
     # -- construction ---------------------------------------------------------
 
@@ -79,6 +88,7 @@ class Network:
         self.adjacency[b.id].append(a.id)
         self._edge_attrs[(a.id, b.id)] = (rate_bps, delay_ps)
         self._edge_attrs[(b.id, a.id)] = (rate_bps, delay_ps)
+        self._delay_trees.clear()
 
     def finalize(self, routing: str = "spray") -> None:
         """Build routing tables and install the chosen strategy on switches."""
@@ -139,23 +149,31 @@ class Network:
     # -- path queries ----------------------------------------------------------
 
     def min_delay_ps(self, src_id: int, dst_id: int) -> int:
-        """Minimum one-way propagation delay between two nodes (Dijkstra)."""
+        """Minimum one-way propagation delay between two nodes.
+
+        Answered from a single-source Dijkstra tree rooted at either
+        endpoint, built on first use and kept for the network's lifetime.
+        Either root gives the same answer because every link's delay is the
+        same both ways (:meth:`connect` is the only writer), and delays are
+        integers, so sums do not depend on their order.
+        """
+        for node_id in (src_id, dst_id):
+            if node_id not in self.adjacency:
+                raise TopologyError(f"node {node_id} is not in the network")
         if src_id == dst_id:
             return 0
-        best = {src_id: 0}
-        heap = [(0, src_id)]
-        while heap:
-            delay, node = heapq.heappop(heap)
-            if node == dst_id:
-                return delay
-            if delay > best.get(node, delay):
-                continue
-            for neighbor in self.adjacency[node]:
-                candidate = delay + self._edge_attrs[(node, neighbor)][1]
-                if candidate < best.get(neighbor, candidate + 1):
-                    best[neighbor] = candidate
-                    heapq.heappush(heap, (candidate, neighbor))
-        raise RoutingError(f"nodes {src_id} and {dst_id} are not connected")
+        trees = self._delay_trees
+        if src_id in trees and dst_id not in trees:
+            root, other = src_id, dst_id
+        else:
+            root, other = dst_id, src_id
+        tree = trees.get(root)
+        if tree is None:
+            tree = trees[root] = self._delay_tree(root)
+        delay = tree.get(other)
+        if delay is None:
+            raise RoutingError(f"nodes {src_id} and {dst_id} are not connected")
+        return delay
 
     def path_rtt_ps(self, src_id: int, dst_id: int, via: Iterable[int] = ()) -> int:
         """Round-trip propagation delay along ``src -> via... -> dst -> via... -> src``."""
@@ -243,6 +261,23 @@ class Network:
         self.fail_link(host_id, leaf_id, at_ps, duration_ps)
 
     # -- internals --------------------------------------------------------------
+
+    def _delay_tree(self, root: int) -> dict[int, int]:
+        """Minimum propagation delay from ``root`` to every node it reaches."""
+        adjacency = self.adjacency
+        edge_attrs = self._edge_attrs
+        best = {root: 0}
+        heap = [(0, root)]
+        while heap:
+            delay, node = heapq.heappop(heap)
+            if delay > best[node]:
+                continue
+            for neighbor in adjacency[node]:
+                candidate = delay + edge_attrs[(node, neighbor)][1]
+                if candidate < best.get(neighbor, candidate + 1):
+                    best[neighbor] = candidate
+                    heapq.heappush(heap, (candidate, neighbor))
+        return best
 
     def _allocate_id(self) -> int:
         node_id = self._next_node_id

@@ -2,9 +2,10 @@
 
 Tables are built after the topology is wired: for every destination host
 we BFS outward and record, at each node, the set of neighbors lying on a
-shortest (hop-count) path.  A control plane (:mod:`repro.control`) may
-later recompute tables under a different weight model and reinstall them
-through :meth:`RoutingStrategy.update_tables` /
+shortest (hop-count) path; hosts behind one leaf share the leaf's BFS.  A
+control plane (:mod:`repro.control`) may later recompute tables under a
+different weight model and reinstall them through
+:meth:`RoutingStrategy.update_tables` /
 :meth:`repro.net.network.Network.install_tables`.  Strategies choose among
 the tabled neighbors:
 
@@ -28,6 +29,60 @@ if TYPE_CHECKING:  # pragma: no cover
 NextHopTable = dict[int, dict[int, tuple[int, ...]]]
 
 
+def _hops_toward(
+    adjacency: dict[int, list[int]], root: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """``(node, equal-cost next hops toward root)`` for every node that has any.
+
+    One BFS outward from ``root``; nodes come in ``adjacency`` order and
+    ``root`` itself is left out.
+    """
+    distance = {root: 0}
+    frontier = deque([root])
+    while frontier:
+        node = frontier.popleft()
+        d = distance[node] + 1
+        for neighbor in adjacency[node]:
+            if neighbor not in distance:
+                distance[neighbor] = d
+                frontier.append(neighbor)
+    rows = []
+    reached = distance.get
+    for node, neighbors in adjacency.items():
+        here = reached(node)
+        if not here:  # the root, or a node the BFS never reached
+            continue
+        up = here - 1
+        hops = tuple([n for n in neighbors if reached(n) == up])
+        if hops:
+            rows.append((node, hops))
+    return rows
+
+
+def _uplinks(adjacency: dict[int, list[int]], destination_ids: list[int]) -> dict[int, int]:
+    """The uplink of every single-homed destination.
+
+    A destination is single-homed when it has exactly one distinct
+    neighbor, which lists it back, and no other node lists it.  Every path
+    into it then ends with ``uplink -> destination``, so its next hops
+    everywhere else are the next hops toward the uplink.
+    """
+    listed_by: dict[int, int] = {}
+    for neighbors in adjacency.values():
+        for n in neighbors:
+            listed_by[n] = listed_by.get(n, 0) + 1
+    uplinks = {}
+    for dst in destination_ids:
+        distinct = set(adjacency[dst])
+        if len(distinct) != 1:
+            continue
+        (uplink,) = distinct
+        links = adjacency[uplink].count(dst)
+        if uplink != dst and links and listed_by.get(dst, 0) == links:
+            uplinks[dst] = uplink
+    return uplinks
+
+
 def build_next_hop_tables(
     adjacency: dict[int, list[int]],
     destination_ids: list[int],
@@ -35,26 +90,35 @@ def build_next_hop_tables(
     """Compute equal-cost next hops toward every destination host.
 
     Returns ``tables[node_id][destination_id] -> tuple(neighbor ids)``,
-    containing an entry for every node that can reach the destination.
+    containing an entry for every node that can reach the destination, with
+    each node's destinations in ``destination_ids`` order.
+
+    Hosts behind one leaf share that leaf's BFS: a single-homed
+    destination's hop tuple at every node is the node's hop tuple toward
+    its uplink, and the uplink's own hop is the destination.  Every other
+    destination (multi-homed hosts, switches) gets a BFS of its own.  The
+    tables are the ones a BFS per destination gives, insertion order
+    included.
     """
     tables: NextHopTable = {node: {} for node in adjacency}
+    uplinks = _uplinks(adjacency, destination_ids)
+    shared: dict[int, list[tuple[dict[int, tuple[int, ...]], tuple[int, ...]]]] = {}
     for dst in destination_ids:
-        distance = {dst: 0}
-        frontier = deque([dst])
-        while frontier:
-            node = frontier.popleft()
-            d = distance[node]
-            for neighbor in adjacency[node]:
-                if neighbor not in distance:
-                    distance[neighbor] = d + 1
-                    frontier.append(neighbor)
-        for node, neighbors in adjacency.items():
-            if node == dst or node not in distance:
-                continue
-            here = distance[node]
-            hops = tuple(n for n in neighbors if distance.get(n, here) == here - 1)
-            if hops:
+        uplink = uplinks.get(dst)
+        if uplink is None:
+            for node, hops in _hops_toward(adjacency, dst):
                 tables[node][dst] = hops
+            continue
+        rows = shared.get(uplink)
+        if rows is None:
+            rows = shared[uplink] = [
+                (tables[node], hops) for node, hops in _hops_toward(adjacency, uplink)
+            ]
+        for table, hops in rows:
+            table[dst] = hops
+        # The destination's own row toward its uplink came along; drop it.
+        del tables[dst][dst]
+        tables[uplink][dst] = (dst,) * adjacency[uplink].count(dst)
     return tables
 
 

@@ -1,11 +1,14 @@
 """Experiment harness: scenarios, runner, sweeps, reports."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
 
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ExperimentError
+from repro.experiments import runner
 from repro.experiments.report import average_reductions, render_table, sweep_table
 from repro.experiments.runner import IncastScenario, run_incast
 from repro.experiments.sweeps import degree_sweep, run_scheme_summary, size_sweep
@@ -84,6 +87,78 @@ class TestRunIncast:
         result = run_incast(replace(small_scenario, horizon_ps=milliseconds(1)))
         assert not result.completed
         assert result.ict_ps == milliseconds(1)
+
+
+class TestRunReclamation:
+    """A finished run's object graph is freed before ``run_incast`` returns."""
+
+    @pytest.mark.parametrize("promote", [False, True])
+    @pytest.mark.parametrize("threshold", [None, 100_000])
+    def test_at_most_one_dead_network_after_sequential_runs(
+        self, small_scenario, monkeypatch, threshold, promote
+    ):
+        networks, simulators = [], []
+        build_interdc = runner.build_interdc
+
+        def build(sim, *args, **kwargs):
+            topo = build_interdc(sim, *args, **kwargs)
+            networks.append(weakref.ref(topo.net))
+            simulators.append(weakref.ref(sim))
+            if promote:
+                # An explicit collection mid-run moves the live graph out
+                # of the youngest generation.
+                gc.collect(1)
+            return topo
+
+        monkeypatch.setattr(runner, "build_interdc", build)
+        saved = gc.get_threshold()
+        if threshold is not None:
+            gc.set_threshold(threshold)
+        try:
+            # The proxy schemes' networks sit in reference cycles (their
+            # connections hold the network), so only the cyclic GC frees them.
+            for scheme in ("naive", "proxy-failover", "naive", "proxy-failover"):
+                result = run_incast(replace(small_scenario, scheme=scheme,
+                                            total_bytes=kilobytes(200)))
+                assert result.completed
+        finally:
+            gc.set_threshold(*saved)
+        assert len(networks) == 4
+        assert sum(ref() is not None for ref in networks) <= 1
+        assert sum(ref() is not None for ref in simulators) <= 1
+
+    def test_graph_freed_by_a_young_collection(self, small_scenario, monkeypatch):
+        simulators, generations = [], []
+        build_interdc = runner.build_interdc
+
+        def build(sim, *args, **kwargs):
+            simulators.append(weakref.ref(sim))
+            return build_interdc(sim, *args, **kwargs)
+
+        def observe(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        monkeypatch.setattr(runner, "build_interdc", build)
+        gc.callbacks.append(observe)
+        try:
+            run_incast(replace(small_scenario, scheme="naive", total_bytes=kilobytes(200)))
+        finally:
+            gc.callbacks.remove(observe)
+        # Freed without a full (generation 2) collection.
+        assert generations and 2 not in generations
+        assert simulators[0]() is None
+
+    def test_caller_gc_state_is_kept(self, small_scenario):
+        assert gc.isenabled()
+        run_incast(small_scenario)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            run_incast(small_scenario)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestSweeps:

@@ -1,15 +1,133 @@
 """Ports, nodes, routing, and the network container."""
 
-import pytest
+import heapq
+import itertools
+import pickle
+import random
+from collections import deque
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import QueueSpec, paper_interdc_config
 from repro.errors import RoutingError, TopologyError
+from repro.experiments import runner
+from repro.experiments.runner import IncastScenario
 from repro.net.network import Network
 from repro.net.node import Host
 from repro.net.packet import make_data
 from repro.net.routing import EcmpRouting, SprayRouting, build_next_hop_tables
 from repro.sim.simulator import Simulator
+from repro.topology.interdc import build_interdc
 from repro.units import gbps, microseconds, serialization_delay_ps
 from tests.conftest import build_pair
+
+
+def bfs_tables_oracle(adjacency, destination_ids):
+    """Reference next-hop tables: one full BFS per destination."""
+    tables = {node: {} for node in adjacency}
+    for dst in destination_ids:
+        distance = {dst: 0}
+        frontier = deque([dst])
+        while frontier:
+            node = frontier.popleft()
+            for neighbor in adjacency[node]:
+                if neighbor not in distance:
+                    distance[neighbor] = distance[node] + 1
+                    frontier.append(neighbor)
+        for node, neighbors in adjacency.items():
+            if node == dst or node not in distance:
+                continue
+            here = distance[node]
+            hops = tuple(n for n in neighbors if distance.get(n, here) == here - 1)
+            if hops:
+                tables[node][dst] = hops
+    return tables
+
+
+def assert_same_tables(tables, expected):
+    """Equal tables, with every node's destinations in the same order."""
+    assert tables == expected
+    assert list(tables) == list(expected)
+    for node, row in expected.items():
+        assert list(tables[node]) == list(row), node
+
+
+def dijkstra_oracle(net, src_id, dst_id):
+    """Reference one-way delay: Dijkstra from ``src`` that stops at ``dst``."""
+    if src_id == dst_id:
+        return 0
+    best = {src_id: 0}
+    heap = [(0, src_id)]
+    while heap:
+        delay, node = heapq.heappop(heap)
+        if node == dst_id:
+            return delay
+        if delay > best.get(node, delay):
+            continue
+        for neighbor in net.adjacency[node]:
+            candidate = delay + net.edge_delay_ps(node, neighbor)
+            if candidate < best.get(neighbor, candidate + 1):
+                best[neighbor] = candidate
+                heapq.heappush(heap, (candidate, neighbor))
+    raise RoutingError(f"nodes {src_id} and {dst_id} are not connected")
+
+
+@st.composite
+def fabric_graphs(draw):
+    """Graphs mixing the shapes the table builder special-cases.
+
+    A random switch core (possibly in several disconnected parts), hosts
+    hanging off one switch (single-homed, sometimes over parallel links),
+    hosts wired to several switches (multi-homed), an isolated node, a few
+    one-way entries (which make a host look single-homed when it is not),
+    and destinations drawn from hosts and switches alike.
+    """
+    switches = draw(st.integers(min_value=1, max_value=8))
+    adjacency = {node: [] for node in range(switches)}
+
+    def link(a, b):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+
+    for a, b in draw(st.lists(st.tuples(st.integers(0, switches - 1),
+                                        st.integers(0, switches - 1)), max_size=16)):
+        if a != b:
+            link(a, b)
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        host = len(adjacency)
+        adjacency[host] = []
+        uplink = draw(st.integers(0, switches - 1))
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            link(host, uplink)
+    for _ in range(draw(st.integers(min_value=0, max_value=4)) if switches > 1 else 0):
+        host = len(adjacency)
+        adjacency[host] = []
+        for uplink in draw(st.lists(st.integers(0, switches - 1), min_size=2, max_size=3,
+                                    unique=True)):
+            link(host, uplink)
+    if draw(st.booleans()):
+        adjacency[len(adjacency)] = []
+    nodes = sorted(adjacency)
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
+                              max_size=2)):
+        adjacency[a].append(b)
+    destinations = draw(st.lists(st.sampled_from(nodes), max_size=12))
+    return adjacency, destinations
+
+
+def random_weighted_network(seed):
+    """A random undirected network with random integer link delays."""
+    rng = random.Random(seed)
+    net = Network(Simulator())
+    nodes = [net.add_switch(f"s{i}") for i in range(rng.randint(2, 9))]
+    spec = QueueSpec(kind="droptail", capacity_bytes=100_000)
+    for a, b in itertools.combinations(nodes, 2):
+        if rng.random() < 0.35:
+            net.connect(a, b, gbps(10), rng.randrange(0, 5_000),
+                        queue_ab=spec.build(None), queue_ba=spec.build(None))
+    return net
 
 
 class TestOutputPortTiming:
@@ -109,6 +227,34 @@ class TestNextHopTables:
         tables = build_next_hop_tables(adjacency, [2])
         assert 2 not in tables[0]
 
+    @settings(max_examples=300, deadline=None)
+    @given(fabric_graphs())
+    def test_matches_per_destination_bfs(self, graph):
+        adjacency, destinations = graph
+        assert_same_tables(build_next_hop_tables(adjacency, destinations),
+                           bfs_tables_oracle(adjacency, destinations))
+
+    @pytest.mark.parametrize("degree", [2, 60])
+    def test_paper_fabric_matches_per_destination_bfs(self, monkeypatch, degree):
+        built = []
+
+        def build(*args, **kwargs):
+            topo = build_interdc(*args, **kwargs)
+            built.append(topo.net)
+            return topo
+
+        monkeypatch.setattr(runner, "build_interdc", build)
+        runner.run_incast(IncastScenario(scheme="streamlined", degree=degree,
+                                         total_bytes=degree * 1000))
+        (net,) = built
+        expected = bfs_tables_oracle(net.adjacency, [h.id for h in net.hosts])
+        assert_same_tables(net.switches[0].routing.tables, expected)
+        for switch in net.switches:
+            assert switch.direct_ports == {
+                dst: switch.ports[hops[0]]
+                for dst, hops in expected[switch.id].items() if len(hops) == 1
+            }
+
 
 class TestRoutingStrategies:
     def _diamond(self, sim):
@@ -194,6 +340,67 @@ class TestNetworkQueries:
         b = net.add_host("b")
         with pytest.raises(RoutingError):
             net.min_delay_ps(a.id, b.id)
+
+    def test_unknown_node_raises_topology_error(self, sim):
+        net, a, b = build_pair(sim)
+        for src, dst in ((a.id, 999), (999, b.id), (999, 999)):
+            with pytest.raises(TopologyError, match="999"):
+                net.min_delay_ps(src, dst)
+        with pytest.raises(TopologyError, match="999"):
+            net.path_rtt_ps(a.id, b.id, via=[999])
+
+    def test_delays_follow_links_added_later(self, sim):
+        net = Network(sim)
+        a, b, c = (net.add_switch(name) for name in "abc")
+        spec = QueueSpec(kind="droptail", capacity_bytes=100_000)
+        net.connect(a, b, gbps(10), 50, queue_ab=spec.build(None), queue_ba=spec.build(None))
+        net.connect(b, c, gbps(10), 50, queue_ab=spec.build(None), queue_ba=spec.build(None))
+        assert net.min_delay_ps(a.id, c.id) == 100
+        net.connect(a, c, gbps(10), 30, queue_ab=spec.build(None), queue_ba=spec.build(None))
+        assert net.min_delay_ps(a.id, c.id) == 30
+
+    def test_paper_fabric_delays_match_dijkstra(self):
+        net = build_interdc(Simulator(seed=0), paper_interdc_config()).net
+        ids = [h.id for h in net.hosts]
+        pairs = list(itertools.product(ids, ids))
+        # A shuffled order makes later queries hit trees rooted at either end.
+        random.Random(5).shuffle(pairs)
+        for src, dst in pairs:
+            assert net.min_delay_ps(src, dst) == dijkstra_oracle(net, src, dst)
+        rng = random.Random(6)
+        for _ in range(300):
+            src, via, dst = (rng.choice(ids) for _ in range(3))
+            assert net.path_rtt_ps(src, dst) == 2 * dijkstra_oracle(net, src, dst)
+            assert net.path_rtt_ps(src, dst, via=[via]) == 2 * (
+                dijkstra_oracle(net, src, via) + dijkstra_oracle(net, via, dst))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_random_weighted_delays_match_dijkstra(self, seed):
+        net = random_weighted_network(seed)
+        ids = list(net.adjacency)
+        pairs = list(itertools.product(ids, ids))
+        random.Random(seed).shuffle(pairs)
+        for src, dst in pairs:
+            try:
+                expected = dijkstra_oracle(net, src, dst)
+            except RoutingError:
+                with pytest.raises(RoutingError):
+                    net.min_delay_ps(src, dst)
+                continue
+            assert net.min_delay_ps(src, dst) == expected
+        for src, via, dst in itertools.islice(itertools.product(ids, ids, ids), 40):
+            try:
+                expected = 2 * (dijkstra_oracle(net, src, via) + dijkstra_oracle(net, via, dst))
+            except RoutingError:
+                continue
+            assert net.path_rtt_ps(src, dst, via=[via]) == expected
+
+    def test_delay_trees_stay_out_of_pickles(self, sim):
+        net, a, b = build_pair(sim)
+        net.min_delay_ps(a.id, b.id)
+        assert net._delay_trees
+        assert pickle.loads(pickle.dumps(net))._delay_trees == {}
 
     def test_flow_ids_unique(self, sim):
         net = Network(sim)
