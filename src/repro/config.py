@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
 from repro.net.queues import DropTailQueue, EcnQueue, HostQueue, TrimmingQueue
-from repro.sim.rng import SimRandom
+from repro.sim.rng import LazyStream, SimRandom
 from repro.units import gbps, kilobytes, megabytes, microseconds, milliseconds
 
 
@@ -49,8 +49,13 @@ class QueueSpec:
                 f"{self.ecn_low_bytes}/{self.ecn_high_bytes}/{self.capacity_bytes}"
             )
 
-    def build(self, rng: SimRandom):
-        """Instantiate the discipline."""
+    def build(self, rng: SimRandom | LazyStream | None):
+        """Instantiate the discipline.
+
+        Only ECN-marking kinds keep ``rng``; the topology builders pass a
+        :class:`~repro.sim.rng.LazyStream`, so a queue that never marks
+        probabilistically never seeds a stream.
+        """
         if self.kind == "droptail":
             return DropTailQueue(self.capacity_bytes)
         if self.kind == "ecn":

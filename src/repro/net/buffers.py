@@ -18,7 +18,7 @@ from collections import deque
 from repro.errors import ConfigError
 from repro.net.packet import Packet
 from repro.net.queues import EnqueueOutcome, QueueStats
-from repro.sim.rng import SimRandom
+from repro.sim.rng import LazyStream, SimRandom, split_stream
 
 
 class SharedBuffer:
@@ -64,7 +64,7 @@ class SharedEcnQueue:
         alpha: float,
         ecn_low_bytes: int,
         ecn_high_bytes: int,
-        rng: SimRandom,
+        rng: SimRandom | LazyStream,
     ) -> None:
         if alpha <= 0:
             raise ConfigError("DT alpha must be positive")
@@ -76,7 +76,7 @@ class SharedEcnQueue:
         self.ecn_high_bytes = ecn_high_bytes
         self.occupied_bytes = 0
         self.stats = QueueStats()
-        self._rng = rng
+        self._rng, self._lazy_rng = split_stream(rng)
         self._fifo: deque[Packet] = deque()
 
     # The dynamic limit this instant.
@@ -113,7 +113,10 @@ class SharedEcnQueue:
             self.stats.marked += 1
             return
         span = self.ecn_high_bytes - self.ecn_low_bytes
-        if self._rng.random() < (occupancy - self.ecn_low_bytes) / span:
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._lazy_rng.open()
+        if rng.random() < (occupancy - self.ecn_low_bytes) / span:
             packet.ecn_ce = True
             self.stats.marked += 1
 

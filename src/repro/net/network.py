@@ -101,7 +101,6 @@ class Network:
             raise TopologyError(f"unknown routing strategy {routing!r}")
         for switch in self.switches:
             switch.routing = strategy
-            switch.spray_rng = self.sim.rng.stream(f"spray:{switch.name}")
             # Single-candidate destinations bypass the strategy entirely on
             # the forwarding fast path; with one equal-cost hop, spray and
             # ECMP both return it without consulting RNG or hash, so the

@@ -52,12 +52,18 @@ class Switch(Node):
     def __init__(self, sim: "Simulator", node_id: int, name: str, dc: int) -> None:
         super().__init__(sim, node_id, name, dc)
         self.routing: "RoutingStrategy | None" = None
+        #: seeded by :meth:`open_spray_rng` on the first spray draw
         self.spray_rng: SimRandom | None = None
         #: Forwarding fast path, filled by Network.finalize(): destinations
         #: with exactly one equal-cost next hop map straight to the output
         #: port, skipping the strategy dispatch (and, for spraying, leaving
         #: the RNG untouched exactly as the slow path would).
         self.direct_ports: dict[int, OutputPort] = {}
+
+    def open_spray_rng(self) -> SimRandom:
+        """Seed and install this switch's spray stream (first draw only)."""
+        rng = self.spray_rng = self.sim.rng.stream(f"spray:{self.name}")
+        return rng
 
     def receive(self, packet: Packet) -> None:
         """Forward toward ``packet.dst``."""

@@ -29,6 +29,13 @@ packet) has exited by then.  A sanitizing pool additionally stamps each
 packet with acquire/release *provenance* (the first caller frame outside
 the pool, as ``file:line``), so a double release names both offending
 sites instead of just the packet.
+
+Checkpoints: a pool pickles its counters and the *length* of its free
+list, not the free packets.  Every field of a reused packet is rewritten
+before it leaves the pool, so a resumed run cannot tell a recycled
+carcass from a blank one: a restored pool mints blank packets on demand,
+up to the saved count, and counts each as a reuse, so its :meth:`stats`
+match the uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -69,10 +76,12 @@ def _caller_site() -> str:
 class PacketPool:
     """Recycles dead packets through a free list."""
 
-    __slots__ = ("_free", "sanitize", "allocated", "reused", "released")
+    __slots__ = ("_free", "_owed", "sanitize", "allocated", "reused", "released")
 
     def __init__(self, sanitize: bool = False) -> None:
         self._free: list[Packet] = []
+        #: free-list entries a restored pool mints on demand (see module doc)
+        self._owed = 0
         #: verify at acquire time that recycled packets are unreferenced
         self.sanitize = sanitize
         self.allocated = 0
@@ -81,10 +90,24 @@ class PacketPool:
 
     # -- internals ----------------------------------------------------------
 
+    def __getstate__(self) -> tuple[bool, int, int, int, int]:
+        return (self.sanitize, self.allocated, self.reused, self.released,
+                len(self))
+
+    def __setstate__(self, state: tuple[bool, int, int, int, int]) -> None:
+        self.sanitize, self.allocated, self.reused, self.released, self._owed = state
+        self._free = []
+
     def _take(self) -> Packet | None:
         free = self._free
         if not free:
-            return None
+            if not self._owed:
+                return None
+            self._owed -= 1
+            packet = Packet(0, PacketType.DATA, 0, 0, 0)
+            packet._pool = self
+            self.reused += 1
+            return packet
         packet = free.pop()
         if self.sanitize and sys.getrefcount(packet) != _CLEAN_REFCOUNT:
             raise SanitizerError(
@@ -131,7 +154,7 @@ class PacketPool:
 
     def __len__(self) -> int:
         """Packets currently sitting in the free list."""
-        return len(self._free)
+        return len(self._free) + self._owed
 
     def stats(self) -> dict[str, int]:
         """Snapshot for reports and benchmarks."""
@@ -139,7 +162,7 @@ class PacketPool:
             "allocated": self.allocated,
             "reused": self.reused,
             "released": self.released,
-            "free": len(self._free),
+            "free": len(self),
         }
 
     # -- constructors (mirror repro.net.packet.make_*) ----------------------

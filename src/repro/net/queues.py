@@ -26,7 +26,7 @@ from collections import deque
 from enum import IntEnum
 
 from repro.net.packet import Packet
-from repro.sim.rng import SimRandom
+from repro.sim.rng import LazyStream, SimRandom, split_stream
 
 
 class EnqueueOutcome(IntEnum):
@@ -125,16 +125,18 @@ class EcnQueue(DropTailQueue):
 
     The marking decision happens at enqueue time against the instantaneous
     occupancy, which is how htsim's random-early-marking queues behave.
+    ``rng`` is a stream, or a :class:`~repro.sim.rng.LazyStream` that is
+    opened on the first probabilistic mark.
     """
 
-    __slots__ = ("ecn_low_bytes", "ecn_high_bytes", "_rng")
+    __slots__ = ("ecn_low_bytes", "ecn_high_bytes", "_rng", "_lazy_rng")
 
     def __init__(
         self,
         capacity_bytes: int,
         ecn_low_bytes: int,
         ecn_high_bytes: int,
-        rng: SimRandom,
+        rng: SimRandom | LazyStream,
     ) -> None:
         super().__init__(capacity_bytes)
         if not 0 <= ecn_low_bytes <= ecn_high_bytes:
@@ -144,7 +146,7 @@ class EcnQueue(DropTailQueue):
             )
         self.ecn_low_bytes = ecn_low_bytes
         self.ecn_high_bytes = ecn_high_bytes
-        self._rng = rng
+        self._rng, self._lazy_rng = split_stream(rng)
 
     def offer(self, packet: Packet) -> EnqueueOutcome:
         size = packet.size_bytes
@@ -161,12 +163,16 @@ class EcnQueue(DropTailQueue):
             if occupancy >= self.ecn_high_bytes:
                 packet.ecn_ce = True
                 stats.marked += 1
-            elif self._rng.random() < (
-                (occupancy - self.ecn_low_bytes)
-                / (self.ecn_high_bytes - self.ecn_low_bytes)
-            ):
-                packet.ecn_ce = True
-                stats.marked += 1
+            else:
+                rng = self._rng
+                if rng is None:
+                    rng = self._rng = self._lazy_rng.open()
+                if rng.random() < (
+                    (occupancy - self.ecn_low_bytes)
+                    / (self.ecn_high_bytes - self.ecn_low_bytes)
+                ):
+                    packet.ecn_ce = True
+                    stats.marked += 1
         self._fifo.append(packet)
         occupancy += size
         self.occupied_bytes = occupancy
@@ -188,14 +194,15 @@ class TrimmingQueue:
 
     __slots__ = ("capacity_bytes", "control_capacity_bytes", "ecn_low_bytes",
                  "ecn_high_bytes", "occupied_bytes", "data_bytes",
-                 "control_bytes", "stats", "_rng", "_data", "_control")
+                 "control_bytes", "stats", "_rng", "_lazy_rng", "_data",
+                 "_control")
 
     def __init__(
         self,
         capacity_bytes: int,
         ecn_low_bytes: int,
         ecn_high_bytes: int,
-        rng: SimRandom,
+        rng: SimRandom | LazyStream,
         control_capacity_bytes: int = 2_000_000,
     ) -> None:
         if capacity_bytes <= 0:
@@ -213,7 +220,7 @@ class TrimmingQueue:
         self.data_bytes = 0
         self.control_bytes = 0
         self.stats = QueueStats()
-        self._rng = rng
+        self._rng, self._lazy_rng = split_stream(rng)
         self._data: deque[Packet] = deque()
         self._control: deque[Packet] = deque()
 
@@ -245,12 +252,16 @@ class TrimmingQueue:
                 if occupancy >= self.ecn_high_bytes:
                     packet.ecn_ce = True
                     stats.marked += 1
-                elif self._rng.random() < (
-                    (occupancy - self.ecn_low_bytes)
-                    / (self.ecn_high_bytes - self.ecn_low_bytes)
-                ):
-                    packet.ecn_ce = True
-                    stats.marked += 1
+                else:
+                    rng = self._rng
+                    if rng is None:
+                        rng = self._rng = self._lazy_rng.open()
+                    if rng.random() < (
+                        (occupancy - self.ecn_low_bytes)
+                        / (self.ecn_high_bytes - self.ecn_low_bytes)
+                    ):
+                        packet.ecn_ce = True
+                        stats.marked += 1
             self._data.append(packet)
             self.data_bytes = occupancy + size
         occupied = self.occupied_bytes + size

@@ -172,7 +172,8 @@ class SprayRouting(RoutingStrategy):
         if n == 1:
             return options[0]
         rng = switch.spray_rng
-        assert rng is not None, "finalize() assigns spray RNGs"
+        if rng is None:
+            rng = switch.open_spray_rng()
         # Inline of Random.randrange(n) -> _randbelow(n): the getrandbits
         # call sequence is identical to the stdlib's, so the spray draw
         # order — and with it every recorded digest — is unchanged.  This
@@ -242,7 +243,8 @@ class DisjointSprayRouting(SprayRouting):
         if n == 1:
             return options[0]
         rng = switch.spray_rng
-        assert rng is not None, "finalize() assigns spray RNGs"
+        if rng is None:
+            rng = switch.open_spray_rng()
         getrandbits = rng.getrandbits
         k = n.bit_length()
         r = getrandbits(k)
@@ -254,10 +256,10 @@ class DisjointSprayRouting(SprayRouting):
 def install_disjoint_spray(net: object, lanes: int = 2) -> DisjointSprayRouting:
     """Swap every switch's strategy for one shared :class:`DisjointSprayRouting`.
 
-    The network must already be finalized (tables built, spray RNGs
-    assigned).  Single-candidate destinations keep using the switches'
-    precomputed direct ports, so only genuinely multi-path hops consult the
-    new strategy — no core forwarding code changes hands.
+    The network must already be finalized (tables built).  Single-candidate
+    destinations keep using the switches' precomputed direct ports, so only
+    genuinely multi-path hops consult the new strategy — no core forwarding
+    code changes hands.
     """
     switches = getattr(net, "switches", ())
     installed = None

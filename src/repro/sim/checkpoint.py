@@ -24,6 +24,13 @@ file header records :data:`CHECKPOINT_SCHEMA_VERSION`, the Python
 version, and a payload digest, and :func:`load_checkpoint` refuses
 mismatches rather than resuming silently wrong.
 
+A checkpoint holds only state a resumed run can observe: the packet
+pool's free list travels as a count (:mod:`repro.net.pool`), and an RNG
+substream that was never drawn travels as its name, because it is not
+seeded until its first draw (:mod:`repro.sim.rng`).  :func:`loads`
+unpickles with the cyclic GC paused: the graph it builds holds no
+garbage, so collections triggered by its allocations would only walk it.
+
 Known limitation: a closure cell that is *rebound* (``nonlocal x; x = …``)
 after a checkpoint restores with its saved contents but loses cell
 identity-sharing with other closures over the same variable.  The
@@ -33,6 +40,8 @@ simulation graph mutates shared containers instead of rebinding cells
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import importlib
 import io
@@ -52,9 +61,14 @@ from repro.telemetry.instrumentation import NULL_INSTRUMENTATION
 #: way that old files must not be restored into new code.
 #:
 #:   1 — initial format: magic + version + python tag + sha256 + payload.
-CHECKPOINT_SCHEMA_VERSION = 1
+#:   2 — live state only: pools pickle their free list as a count, and
+#:       undrawn RNG substreams as lazy (registry, name) handles.
+CHECKPOINT_SCHEMA_VERSION = 2
 
 _MAGIC = b"RPCKPT\x00"
+_VERSION = struct.Struct("<I")
+_TAG_LEN = struct.Struct("<H")
+_DIGEST_BYTES = 32
 
 
 class CheckpointError(SimulationError):
@@ -151,8 +165,18 @@ def dumps(payload: Any) -> bytes:
 
 
 def loads(blob: bytes) -> Any:
-    """Inverse of :func:`dumps` (plain unpickling; rebuilders are importable)."""
-    return pickle.loads(blob)
+    """Inverse of :func:`dumps` (plain unpickling; rebuilders are importable).
+
+    The cyclic GC is paused while the graph is built and the caller's
+    enabled/disabled state restored afterwards.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(blob)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_checkpoint(path: str | Path, payload: Any) -> Path:
@@ -162,10 +186,11 @@ def save_checkpoint(path: str | Path, payload: Any) -> Path:
     ``Simulator.run`` segments, never from inside an event callback (the
     engine enforces this).  Objects holding OS resources — open files,
     sockets, a :class:`~repro.sim.tracing.CsvTracer` — are not
-    checkpointable and surface here as :class:`CheckpointError`.
+    checkpointable and surface here as :class:`CheckpointError`, as does
+    a failure to write the file (the temp file is removed, and an existing
+    checkpoint at ``path`` is left intact).
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         body = dumps(payload)
     except CheckpointError:
@@ -176,19 +201,34 @@ def save_checkpoint(path: str | Path, payload: Any) -> Path:
     digest = hashlib.sha256(body).digest()
     header = (
         _MAGIC
-        + struct.pack("<I", CHECKPOINT_SCHEMA_VERSION)
-        + struct.pack("<H", len(tag))
+        + _VERSION.pack(CHECKPOINT_SCHEMA_VERSION)
+        + _TAG_LEN.pack(len(tag))
         + tag
         + digest
     )
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
-        fh.write(header)
-        fh.write(body)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with tmp.open("wb") as fh:
+            fh.write(header)
+            fh.write(body)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):  # nothing to remove, or cannot
+            tmp.unlink()
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
     return path
+
+
+def _require_header(path: Path, blob: bytes, end: int) -> None:
+    """Raise unless ``blob`` reaches byte ``end`` of the header."""
+    if len(blob) < end:
+        raise CheckpointError(
+            f"checkpoint {path} is truncated: {len(blob)} bytes, the header "
+            f"needs at least {end}"
+        )
 
 
 def load_checkpoint(path: str | Path) -> Any:
@@ -198,26 +238,30 @@ def load_checkpoint(path: str | Path) -> Any:
         blob = path.read_bytes()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not blob.startswith(_MAGIC):
+    if not _MAGIC.startswith(blob[:len(_MAGIC)]):
         raise CheckpointError(f"{path} is not a repro checkpoint")
     offset = len(_MAGIC)
-    (version,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    _require_header(path, blob, offset + _VERSION.size)
+    (version,) = _VERSION.unpack_from(blob, offset)
+    offset += _VERSION.size
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(
             f"checkpoint schema {version} != supported {CHECKPOINT_SCHEMA_VERSION}"
         )
-    (tag_len,) = struct.unpack_from("<H", blob, offset)
-    offset += 2
-    tag = blob[offset:offset + tag_len].decode()
+    _require_header(path, blob, offset + _TAG_LEN.size)
+    (tag_len,) = _TAG_LEN.unpack_from(blob, offset)
+    offset += _TAG_LEN.size
+    _require_header(path, blob, offset + tag_len)
+    tag = blob[offset:offset + tag_len].decode(errors="replace")
     offset += tag_len
     if tag != _python_tag():
         raise CheckpointError(
             f"checkpoint written by {tag}, running {_python_tag()}: "
             "marshal'd code objects are not portable across interpreter versions"
         )
-    digest = blob[offset:offset + 32]
-    offset += 32
+    _require_header(path, blob, offset + _DIGEST_BYTES)
+    digest = blob[offset:offset + _DIGEST_BYTES]
+    offset += _DIGEST_BYTES
     body = blob[offset:]
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointError(f"checkpoint {path} is corrupt (digest mismatch)")

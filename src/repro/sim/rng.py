@@ -5,6 +5,14 @@ workload generators) draws from its own named ``random.Random`` stream,
 derived deterministically from the run's master seed.  This keeps runs
 reproducible *and* makes streams independent: adding a new random consumer
 does not perturb the draws seen by existing ones.
+
+Most of a fabric's streams (one per ECN queue, one per spraying switch)
+are never drawn in a given run, so holders seed theirs lazily: they keep
+``None`` until their draw branch first runs, then open the stream by name
+(:class:`LazyStream`, or ``sim.rng.stream(name)`` directly).  Seeding
+depends only on ``(seed, name)``, so the draw sequences are the same as
+with eager seeding, and an undrawn stream costs neither a Mersenne-Twister
+seeding at set-up nor its state (a few KB) in a checkpoint.
 """
 
 from __future__ import annotations
@@ -37,6 +45,36 @@ def derive_stream(seed: int, name: str) -> SimRandom:
     return random.Random(_derive_seed(seed, name))
 
 
+class LazyStream:
+    """A named substream of a registry that is seeded on first use.
+
+    The holder keeps its own ``random.Random`` slot at ``None`` and calls
+    :meth:`open` the first time it draws; every later draw goes straight
+    to the opened stream, so laziness costs one ``is None`` test on the
+    draw branch and nothing per draw.
+    """
+
+    __slots__ = ("registry", "name")
+
+    def __init__(self, registry: "RngRegistry", name: str) -> None:
+        self.registry = registry
+        self.name = name
+
+    def open(self) -> SimRandom:
+        """The seeded stream (created by the registry on the first call)."""
+        return self.registry.stream(self.name)
+
+
+def split_stream(
+    rng: SimRandom | LazyStream,
+) -> tuple[SimRandom | None, LazyStream | None]:
+    """A holder's two slots for ``rng``: ``(rng, None)`` when it is an open
+    stream, ``(None, rng)`` when it is a :class:`LazyStream`."""
+    if isinstance(rng, LazyStream):
+        return None, rng
+    return rng, None
+
+
 class RngRegistry:
     """Hands out independent, deterministically-seeded RNG streams."""
 
@@ -62,6 +100,10 @@ class RngRegistry:
             rng = random.Random(_derive_seed(self._seed, name))
             self._streams[name] = rng
         return rng
+
+    def lazy(self, name: str) -> LazyStream:
+        """A handle that opens :meth:`stream` ``(name)`` on its first draw."""
+        return LazyStream(self, name)
 
     def fork(self, salt: int) -> "RngRegistry":
         """A registry whose streams are independent of this one (e.g. per rep)."""

@@ -45,7 +45,7 @@ def build_interdc(
     ]
     backbone_spec = cfg.backbone_queue.with_trimming(cfg.trimming)
     spine_spec = cfg.fabric.switch_queue.with_trimming(cfg.trimming)
-    rng_for = lambda name: sim.rng.stream(f"queue:{name}")  # noqa: E731
+    rng_for = lambda name: sim.rng.lazy(f"queue:{name}")  # noqa: E731
 
     backbone: list[Switch] = []
     spines = cfg.fabric.spines

@@ -42,7 +42,7 @@ def build_leafspine(
     fabric = Fabric(dc=dc)
     switch_spec = cfg.switch_queue.with_trimming(trimming)
     host_spec = cfg.host_queue
-    rng_for = lambda name: net.sim.rng.stream(f"queue:{name}")  # noqa: E731
+    rng_for = lambda name: net.sim.rng.lazy(f"queue:{name}")  # noqa: E731
 
     shared_alpha = cfg.shared_buffer_alpha
     if shared_alpha is not None and trimming:

@@ -35,6 +35,7 @@ Mechanics:
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -322,12 +323,13 @@ class OpenLoopEngine:
         self.registry = ProxyRegistry()
         for host in proxy_hosts:
             self.registry.register(host.id)
-        select_rng = self.sim.rng.stream("engine:select")
         self.selector: CentralOrchestrator | DecentralizedSelector | None
         if self.strategy == "none":
             self.selector = None
         elif self.strategy == "decentralized":
-            self.selector = DecentralizedSelector(self.registry, select_rng)
+            self.selector = DecentralizedSelector(
+                self.registry, self.sim.rng.stream("engine:select")
+            )
         elif self.strategy == "round-robin":
             self.selector = CentralOrchestrator(self.registry, make_round_robin())
         elif self.strategy == "queue-depth":
@@ -510,6 +512,12 @@ class OpenLoopEngine:
         segment; with ``kill_at_ps`` it SIGKILLs its own process at the
         first boundary at or past that instant *after* checkpointing —
         the CI preemption drill.
+
+        The run ends with one full collection of the cyclic GC, timed as
+        part of the run.  Engine graphs are cyclic, and checkpointing
+        allocates too little to trigger automatic generation-2
+        collections, so without it dead restored copies and finished runs
+        pile up in memory.
         """
         horizon = self.config.horizon_ps
         segment = self.config.segment_ps
@@ -522,6 +530,7 @@ class OpenLoopEngine:
                 save_checkpoint(checkpoint_path, self)
             if kill_at_ps is not None and self.sim.now >= kill_at_ps:
                 os.kill(os.getpid(), signal.SIGKILL)  # preemption drill
+        gc.collect()
         return self.result()
 
     def result(self) -> WorkloadResult:

@@ -1,6 +1,9 @@
 """Checkpoint/restore: file format, closure pickling, kill/resume digests."""
 
+import gc
+import os
 import struct
+import weakref
 
 import pytest
 
@@ -87,6 +90,70 @@ class TestCheckpointFormat:
         assert load_checkpoint(path) == "second"
         assert not (tmp_path / "a.ckpt.tmp").exists()
 
+    def test_rejects_v1_files(self, tmp_path):
+        assert CHECKPOINT_SCHEMA_VERSION == 2
+        path = save_checkpoint(tmp_path / "v1.ckpt", [1, 2])
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, len(_MAGIC), 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="schema 1 != supported 2"):
+            load_checkpoint(path)
+
+    def test_truncated_header_is_named_at_every_cut(self, tmp_path):
+        blob = save_checkpoint(tmp_path / "whole.ckpt", {"k": "v"}).read_bytes()
+        (tag_len,) = struct.unpack_from("<H", blob, len(_MAGIC) + 4)
+        header = len(_MAGIC) + 4 + 2 + tag_len + 32
+        path = tmp_path / "cut.ckpt"
+        for cut in range(header + 2):
+            path.write_bytes(blob[:cut])
+            match = "truncated" if cut < header else "corrupt"
+            with pytest.raises(CheckpointError, match=match):
+                load_checkpoint(path)
+
+    def test_failed_write_is_a_checkpoint_error(self, tmp_path, monkeypatch):
+        path = save_checkpoint(tmp_path / "keep.ckpt", "first")
+
+        def broken_fsync(fd):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", broken_fsync)
+        with pytest.raises(CheckpointError, match="cannot write") as info:
+            save_checkpoint(path, "second")
+        assert isinstance(info.value.__cause__, OSError)
+        assert not (tmp_path / "keep.ckpt.tmp").exists()
+        monkeypatch.undo()
+        assert load_checkpoint(path) == "first"
+
+    def test_uncreatable_directory_is_a_checkpoint_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        with pytest.raises(CheckpointError, match="cannot write"):
+            save_checkpoint(blocker / "sub" / "x.ckpt", [1])
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_load_keeps_the_callers_gc_state(self, tmp_path, enabled):
+        path = save_checkpoint(tmp_path / "gc.ckpt", [[i] for i in range(5_000)])
+        collections = []
+
+        def observe(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        saved = gc.get_threshold()
+        was_enabled = gc.isenabled()
+        gc.set_threshold(10)
+        gc.callbacks.append(observe)
+        try:
+            (gc.enable if enabled else gc.disable)()
+            restored = load_checkpoint(path)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.callbacks.remove(observe)
+            gc.set_threshold(*saved)
+            (gc.enable if was_enabled else gc.disable)()
+        assert restored == [[i] for i in range(5_000)]
+        assert collections == []  # unpickled with the collector paused
+
 
 def _module_level_probe(x):
     return x + 1
@@ -168,19 +235,27 @@ class TestKillRestoreDigests:
     """The durability contract: interrupt anywhere, resume, same digest."""
 
     def test_every_scheme_resumes_bit_identical(self, competitors, tmp_path):
+        assert len(SCHEME_REGISTRY.names()) == 8
         for scheme in SCHEME_REGISTRY.names():
-            uninterrupted = OpenLoopEngine(_tiny_config(scheme)).run()
+            reference = OpenLoopEngine(_tiny_config(scheme))
+            uninterrupted = reference.run()
 
+            # "SIGKILL" at every segment boundary before the horizon.
             engine = OpenLoopEngine(_tiny_config(scheme))
-            _advance_to(engine, seconds(1))  # "SIGKILL" at half-horizon
-            path = save_checkpoint(tmp_path / f"{scheme}.ckpt", engine)
+            paths = []
+            for boundary in (milliseconds(500), seconds(1), milliseconds(1500)):
+                _advance_to(engine, boundary)
+                paths.append(save_checkpoint(tmp_path / f"{scheme}-{boundary}.ckpt", engine))
             del engine
-            restored = load_checkpoint(path)
-            assert isinstance(restored, OpenLoopEngine)
-            resumed = restored.run()
+            for path in paths:
+                restored = load_checkpoint(path)
+                assert isinstance(restored, OpenLoopEngine)
+                resumed = restored.run()
 
-            assert resumed.digest == uninterrupted.digest, scheme
-            assert resumed.jobs_completed == uninterrupted.jobs_completed
+                assert resumed.digest == uninterrupted.digest, (scheme, path.name)
+                assert resumed.jobs_completed == uninterrupted.jobs_completed
+                assert resumed.counters == uninterrupted.counters
+                assert restored.sim.packet_pool.stats() == reference.sim.packet_pool.stats()
 
     def test_resume_with_predictor_is_bit_identical(self, tmp_path):
         config = _tiny_config("streamlined", pattern_predictor=True)
@@ -209,3 +284,25 @@ class TestKillRestoreDigests:
         path = save_checkpoint(tmp_path / "exact.ckpt", engine)
         resumed = load_checkpoint(path).run()
         assert resumed.digest == uninterrupted.digest
+
+    @pytest.mark.parametrize("threshold", [None, 100_000])
+    def test_dead_engine_graphs_are_reclaimed(self, tmp_path, threshold):
+        simulators = []
+        saved = gc.get_threshold()
+        if threshold is not None:
+            gc.set_threshold(threshold)
+        try:
+            for cycle in range(6):
+                engine = OpenLoopEngine(_tiny_config("streamlined", seed=cycle))
+                simulators.append(weakref.ref(engine.sim))
+                _advance_to(engine, milliseconds(500))
+                path = save_checkpoint(tmp_path / "cycle.ckpt", engine)
+                copy = load_checkpoint(path)
+                simulators.append(weakref.ref(copy.sim))
+                del copy
+                engine.run()
+                del engine
+        finally:
+            gc.set_threshold(*saved)
+        assert len(simulators) == 12
+        assert sum(ref() is not None for ref in simulators) <= 2

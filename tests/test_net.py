@@ -1,6 +1,7 @@
 """Ports, nodes, routing, and the network container."""
 
 import heapq
+import io
 import itertools
 import pickle
 import random
@@ -16,8 +17,10 @@ from repro.experiments import runner
 from repro.experiments.runner import IncastScenario
 from repro.net.network import Network
 from repro.net.node import Host
-from repro.net.packet import make_data
+from repro.net.packet import HEADER_BYTES, make_data
+from repro.net.queues import HostQueue
 from repro.net.routing import EcmpRouting, SprayRouting, build_next_hop_tables
+from repro.sim.rng import derive_stream
 from repro.sim.simulator import Simulator
 from repro.topology.interdc import build_interdc
 from repro.units import gbps, microseconds, serialization_delay_ps
@@ -417,3 +420,114 @@ class TestNetworkQueries:
         net, a, b = build_pair(sim)
         with pytest.raises(TopologyError):
             net.add_host("late")
+
+
+def random_objects_in(obj):
+    """Every ``random.Random`` a pickle of ``obj`` would carry."""
+    found = []
+
+    class Probe(pickle.Pickler):
+        def reducer_override(self, value):
+            if isinstance(value, random.Random):
+                found.append(value)
+            return NotImplemented
+
+    Probe(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return found
+
+
+def ecn_marks_oracle(rng, low, high, occupancies):
+    """Reference RED marking: one draw per occupancy strictly inside (low, high)."""
+    marks = []
+    for occupancy in occupancies:
+        if occupancy <= low:
+            marks.append(False)
+        elif occupancy >= high:
+            marks.append(True)
+        else:
+            marks.append(rng.random() < (occupancy - low) / (high - low))
+    return marks
+
+
+class TestLazySubstreams:
+    """Streams are seeded on first draw, with unchanged draw sequences."""
+
+    DRAWS = 1_000
+    SEED = 11
+
+    @staticmethod
+    def _ports(net):
+        for node in (*net.hosts, *net.switches):
+            yield from node.ports.values()
+
+    @pytest.mark.parametrize("trimming", [False, True], ids=["ecn", "trimming"])
+    def test_queue_draws_match_derived_streams(self, trimming):
+        sim = Simulator(seed=self.SEED)
+        net = build_interdc(sim, paper_interdc_config().with_trimming(trimming)).net
+        assert random_objects_in(net) == []
+        checked = 0
+        for port in self._ports(net):
+            queue = port.queue
+            low = getattr(queue, "ecn_low_bytes", None)
+            if low is None:
+                assert isinstance(queue, HostQueue)
+                continue
+            high = queue.ecn_high_bytes
+            # One packet lifts the queue just past ``low``; then every
+            # header-sized data packet is marked on a draw.
+            sizes = [low + 1] + [HEADER_BYTES] * self.DRAWS
+            occupancies = list(itertools.accumulate(sizes, initial=0))[:-1]
+            assert occupancies[-1] < high
+            marks = []
+            for seq, size in enumerate(sizes):
+                packet = make_data(1, seq, 0, 1, payload_bytes=size - HEADER_BYTES)
+                queue.offer(packet)
+                marks.append(packet.ecn_ce)
+            expected = ecn_marks_oracle(
+                derive_stream(self.SEED, f"queue:{port.name}"), low, high, occupancies)
+            assert marks == expected, port.name
+            checked += 1
+        assert checked == 640  # every switch port of the paper fabric
+
+    def test_host_queues_never_draw(self):
+        sim = Simulator(seed=self.SEED)
+        net = build_interdc(sim, paper_interdc_config()).net
+        for host in net.hosts:
+            queue = host.nic.queue
+            assert isinstance(queue, HostQueue)
+            for seq in range(self.DRAWS):
+                queue.offer(make_data(1, seq, 0, 1, payload_bytes=1_000))
+            while queue.pop() is not None:
+                pass
+        assert random_objects_in(net) == []
+
+    def test_spray_draws_match_derived_streams(self):
+        sim = Simulator(seed=self.SEED)
+        net = build_interdc(sim, paper_interdc_config(), routing="spray").net
+        tables = next(s.routing for s in net.switches)._tables
+        sprayed = 0
+        for switch in net.switches:
+            multipath = [(dst, hops) for dst, hops in tables[switch.id].items()
+                         if len(hops) > 1]
+            if not multipath:
+                continue
+            expected_rng = derive_stream(self.SEED, f"spray:{switch.name}")
+            for i in range(self.DRAWS):
+                dst, hops = multipath[i % len(multipath)]
+                packet = make_data(1, i, 0, dst, payload_bytes=100)
+                assert switch.routing.next_hop(switch, packet) == \
+                    hops[expected_rng.randrange(len(hops))], switch.name
+            sprayed += 1
+        assert sprayed > 0
+        # Switches with no equal-cost choice never seeded a stream.
+        assert len(random_objects_in(net)) == sprayed
+
+    def test_ecmp_never_draws(self):
+        sim = Simulator(seed=self.SEED)
+        net = build_interdc(sim, paper_interdc_config(), routing="ecmp").net
+        tables = next(s.routing for s in net.switches)._tables
+        for switch in net.switches:
+            for dst in tables[switch.id]:
+                switch.routing.next_hop(switch, make_data(7, 0, 0, dst, payload_bytes=100))
+        assert all(switch.spray_rng is None for switch in net.switches)
+        assert random_objects_in(net) == []

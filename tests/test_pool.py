@@ -1,5 +1,7 @@
 """PacketPool recycling, safety rails, and simulator integration."""
 
+import pickle
+
 import pytest
 
 from repro.errors import SanitizerError
@@ -190,6 +192,46 @@ class TestFaultPlanDiagnostics:
             self._scenario("streamlined", plan), RunOptions(sanitize=True)
         )
         assert result.conservation is not None
+
+
+class TestPickling:
+    def test_free_list_pickles_as_a_count(self):
+        pool = PacketPool()
+        held = [pool.data(1, seq, 10, 20, 1000) for seq in range(5)]
+        for packet in held[:3]:
+            packet.release()
+        restored = pickle.loads(pickle.dumps(pool))
+        assert restored.stats() == pool.stats()
+        assert len(restored) == 3
+        assert restored._free == []  # no carcass travels in the pickle
+
+        # The three owed packets come back as blank reuses, then allocation.
+        packets = [restored.ack(2, 20, 10, ack_seq=seq, echo_seq=seq,
+                                ecn_echo=False, ts_echo=-1) for seq in range(3)]
+        assert restored.stats() == {"allocated": 5, "reused": 3, "released": 3,
+                                    "free": 0}
+        for seq, packet in enumerate(packets):
+            assert packet.kind == PacketType.ACK and packet.ack_seq == seq
+            assert packet._pool is restored and not packet._freed
+        restored.nack(3, 9, 20, 10)
+        assert restored.stats()["allocated"] == 6
+
+        # Minted packets recycle like any other.
+        packets[0].release()
+        assert len(restored) == 1
+        with pytest.raises(SanitizerError, match="released twice"):
+            packets[0].release()
+
+    def test_owed_packets_count_across_repeated_round_trips(self):
+        pool = PacketPool(sanitize=True)
+        for packet in [pool.data(1, seq, 10, 20, 100) for seq in range(4)]:
+            packet.release()
+        once = pickle.loads(pickle.dumps(pool))
+        once.data(1, 0, 10, 20, 100)
+        twice = pickle.loads(pickle.dumps(once))
+        assert twice.sanitize
+        assert twice.stats() == once.stats() == {
+            "allocated": 4, "reused": 1, "released": 4, "free": 3}
 
 
 class TestSimulatorIntegration:
