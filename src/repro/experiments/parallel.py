@@ -39,9 +39,10 @@ failures are positional, so the merge never shifts.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
-import json
 import os
 import pickle
 import signal
@@ -81,7 +82,11 @@ R = TypeVar("R")
 #: sinks change the recorded telemetry series), so sketch-mode and
 #: exact-mode runs never share cache entries; pre-v7 entries carry no
 #: metrics field and must not satisfy either mode.
-CACHE_SCHEMA_VERSION = 7
+#: v8: keys hash the ``repr`` of a tuple instead of sorted JSON and fold in
+#: :func:`code_digest`, so a source edit invalidates entries by itself.
+#: From v8 on, bump only when the key or entry *format* changes; a change
+#: to what the simulator computes is covered by the code digest.
+CACHE_SCHEMA_VERSION = 8
 
 #: Default on-disk cache location (override with $REPRO_CACHE_DIR).
 DEFAULT_CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR", "results/.sweep-cache"))
@@ -95,40 +100,96 @@ class Uncacheable(ExperimentError):
     """The scenario embeds state (e.g. a callable) with no stable hash."""
 
 
+#: Files of the ``repro`` package that never run inside a cached
+#: simulation (the CLI entry point and the report renderer), so editing
+#: them keeps every cache entry valid.  Everything else is in the digest.
+CODE_DIGEST_EXCLUDED = frozenset({"__main__.py", "experiments/report.py"})
+
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.cache
+def code_digest() -> str:
+    """SHA-256 over the ``repro`` package source that computes results.
+
+    Hashes the sorted package-relative paths and bytes of every ``*.py``
+    file except :data:`CODE_DIGEST_EXCLUDED`.  Computed on the first call
+    (the first cache key of a process), never at import, and memoized, so
+    a source edit made while a process runs is only seen by the next
+    process.
+    """
+    sources = sorted(
+        (path.relative_to(_PACKAGE_ROOT).as_posix(), path)
+        for path in _PACKAGE_ROOT.rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for relative, path in sources:
+        if relative in CODE_DIGEST_EXCLUDED:
+            continue
+        data = path.read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+_ATOMS = frozenset({type(None), bool, int, float, str})
+
+#: dataclass type -> (type name, field names); None for non-dataclasses.
+_DATACLASS_LAYOUTS: dict[type, tuple[str, tuple[str, ...]] | None] = {}
+
+
+def _dataclass_layout(cls: type) -> tuple[str, tuple[str, ...]] | None:
+    if not is_dataclass(cls):
+        return None
+    return cls.__name__, tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _canonical(value: Any) -> Any:
     """Recursively reduce a config value to JSON-encodable primitives.
 
-    Raises :class:`Uncacheable` for values without a stable content
+    Dataclasses become ``{"__type__": Name, field: ...}`` in field order,
+    sequences become lists and dicts come back sorted by key, so the
+    document is deterministic both as JSON and as ``repr``.  Raises
+    :class:`Uncacheable` for values without a stable content
     representation (callables such as ``proxy_delay_sampler``).
     """
-    if is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            f.name: _canonical(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-        return {"__type__": type(value).__name__, **fields}
+    cls = value.__class__
+    if cls in _ATOMS:
+        return value
+    try:
+        layout = _DATACLASS_LAYOUTS[cls]
+    except KeyError:
+        layout = _DATACLASS_LAYOUTS[cls] = _dataclass_layout(cls)
+    if layout is not None:
+        name, fields = layout
+        doc = {"__type__": name}
+        for field in fields:
+            item = getattr(value, field)
+            doc[field] = item if item.__class__ in _ATOMS else _canonical(item)
+        return doc
     if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
+        return [v if v.__class__ in _ATOMS else _canonical(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _canonical(v) for k, v in sorted(value.items())}
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if isinstance(value, (int, float, str)):  # atom subclasses, e.g. enums
         return value
-    raise Uncacheable(f"no stable representation for {type(value).__name__}")
+    raise Uncacheable(f"no stable representation for {cls.__name__}")
 
 
 def scenario_key(scenario: Any, options: RunOptions | None = None) -> str:
-    """Stable SHA-256 content hash of a config dataclass.
+    """Stable SHA-256 content hash of a config dataclass and the code.
 
     Two scenarios that compare equal field-by-field hash identically across
     processes and interpreter runs; any field change (scheme, degree,
     bytes, nested config, seed) changes the key.  Raises :class:`Uncacheable`
     for scenarios carrying callables (``proxy_delay_sampler``).
 
-    When the scenario names a registered scheme, the scheme's spec
-    :meth:`~repro.schemes.SchemeSpec.fingerprint` is folded in as well:
-    the scheme *name* alone is not a stable identity once third parties can
-    ``@register_scheme(..., replace=True)`` a different implementation
-    under a previously used name.
+    The key also names the code that computes the result:
+    :func:`code_digest` covers the simulator's source, so an edit to it
+    misses every earlier entry.  When the scenario names a registered
+    scheme, the scheme's spec :meth:`~repro.schemes.SchemeSpec.fingerprint`
+    is folded in as well, which covers schemes registered from outside the
+    ``repro`` package.
 
     The run's :class:`~repro.metrics.config.MetricsConfig` (taken from
     ``options``, defaulting to exact mode) is folded in too: sketch-mode
@@ -138,19 +199,21 @@ def scenario_key(scenario: Any, options: RunOptions | None = None) -> str:
     if not is_dataclass(scenario) or isinstance(scenario, type):
         raise Uncacheable(f"cache keys require a dataclass, got {type(scenario).__name__}")
     metrics = options.metrics if options is not None else DEFAULT_METRICS
-    document: dict[str, Any] = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "scenario": _canonical(scenario),
-        "metrics": _canonical(metrics),
-    }
+    fingerprint = None
     scheme = getattr(scenario, "scheme", None)
     if isinstance(scheme, str):
         from repro.schemes import SCHEME_REGISTRY
 
         if scheme in SCHEME_REGISTRY:
-            document["scheme_fingerprint"] = SCHEME_REGISTRY.get(scheme).fingerprint()
-    payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+            fingerprint = SCHEME_REGISTRY.get(scheme).fingerprint()
+    document = (
+        CACHE_SCHEMA_VERSION,
+        code_digest(),
+        _canonical(scenario),
+        _canonical(metrics),
+        fingerprint,
+    )
+    return hashlib.sha256(repr(document).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -175,32 +238,43 @@ class ResultCache:
     def get(self, key: str) -> Any | None:
         """Load the cached value for ``key``, or None on miss/corruption.
 
-        A corrupted-but-readable entry (truncated pickle, stale class
-        layout) is deleted on the spot: leaving it would turn every future
-        lookup of this key into a doomed read, and ``put`` only runs when
-        a fresh result exists to overwrite it with.
+        Any failure to unpickle an entry (truncation, garbage, an
+        unsupported protocol, a stale class layout) counts as corruption:
+        the entry is deleted on the spot, because leaving it would turn
+        every future lookup of this key into a doomed read, and ``put``
+        only runs when a fresh result exists to overwrite it with.
         """
-        path = self.path_for(key)
+        path = f"{self.root}/{key[:2]}/{key}.pkl"
         try:
-            with path.open("rb") as fh:
-                return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
-            try:
-                if path.exists():
-                    path.unlink()
-            except OSError:  # pragma: no cover - unwritable cache dir
-                pass
+            fh = open(path, "rb")
+        except OSError:
             return None
+        with fh:
+            try:
+                return pickle.load(fh)
+            except Exception:  # noqa: BLE001 - unpickling can raise anything
+                pass
+        with contextlib.suppress(OSError):  # unwritable cache dir
+            os.unlink(path)
+        return None
 
     def put(self, key: str, value: Any) -> None:
-        """Store ``value`` under ``key`` atomically."""
+        """Store ``value`` under ``key`` atomically.
+
+        A failed write (a full disk, an unpicklable value) removes its
+        temporary file and re-raises.
+        """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with tmp.open("wb") as fh:
-            pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(path)
+        try:
+            with tmp.open("wb") as fh:
+                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            tmp.replace(path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            raise
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""

@@ -13,8 +13,9 @@ library:
   failure instead of looping forever.
 * :class:`Coordinator` — owns the journal and a JSON-lines-over-TCP
   endpoint (one request per connection).  Workers ``hello`` for the run
-  parameters, ``lease`` cells (spec documents travel over the wire, so a
-  worker on another host rebuilds the exact scenarios), and ``ack``
+  parameters (a worker whose code digest differs is refused), ``lease``
+  cells (spec documents travel over the wire, so a worker on another
+  host rebuilds the exact scenarios), and ``ack``
   completions.  Results never cross the socket: a worker writes into the
   shared on-disk :class:`~repro.experiments.parallel.ResultCache` *before*
   acking, and the coordinator reads the entry back — so an ack is proof
@@ -65,6 +66,7 @@ from repro.experiments.parallel import (
     RunFailure,
     _GuardedTask,
     _RunTask,
+    code_digest,
     scenario_key,
 )
 from repro.experiments.runner import IncastResult
@@ -92,10 +94,11 @@ REQUEST_TIMEOUT_S = 30.0
 class QueueCell:
     """One schedulable grid cell: flat index, cache key, scenario document.
 
-    The coordinator computes the key once (workers never hash scenarios,
-    so a version-skewed worker cannot poison the cache under a wrong key)
+    The coordinator computes the key once (workers never hash scenarios)
     and ships the canonical document, which any host rebuilds with
-    :func:`~repro.experiments.grid.scenario_from_doc`.
+    :func:`~repro.experiments.grid.scenario_from_doc`.  A worker running
+    other code is refused at ``hello``, so it cannot write its results
+    under the coordinator's keys.
     """
 
     index: int
@@ -116,7 +119,12 @@ def cells_from_spec(spec: GridSpec) -> list[QueueCell]:
 
 
 def batch_fingerprint(keys: Sequence[str]) -> str:
-    """Identity of one batch: the ordered cell keys, hashed."""
+    """Identity of one batch: the ordered cell keys, hashed.
+
+    The keys fold in :func:`~repro.experiments.parallel.code_digest`, so
+    the fingerprint (and the journal it names) follows the code too: a
+    checkout with edited simulator source starts a fresh journal.
+    """
     return hashlib.sha256("\n".join(keys).encode()).hexdigest()
 
 
@@ -456,6 +464,8 @@ class Coordinator:
         self.cells = cells
         self.cache = cache
         self.fingerprint = batch_fingerprint([c.key for c in cells])
+        #: the code every worker must run (checked at ``hello``).
+        self.code = code_digest()
         self.journal_path = Path(
             journal_path
             if journal_path is not None
@@ -623,6 +633,16 @@ class Coordinator:
         try:
             op = request.get("op")
             if op == "hello":
+                code = str(request.get("code", ""))
+                if code != self.code:
+                    return {
+                        "ok": False,
+                        "error": (
+                            f"worker code {code[:12] or '<none>'}… differs "
+                            f"from coordinator code {self.code[:12]}…; "
+                            "workers must run the coordinator's code"
+                        ),
+                    }
                 return {
                     "ok": True,
                     "cache_dir": str(self.cache.root),
@@ -761,20 +781,28 @@ def run_worker(
     The result is written to the shared cache *before* the ack, so the
     coordinator only ever marks durable work done.  A vanished
     coordinator (connection refused mid-campaign) is a clean exit: every
-    completed cell is journaled, every leased one will requeue.
+    completed cell is journaled, every leased one will requeue.  A
+    coordinator that refuses the ``hello`` (the worker runs other code)
+    exits 1 with its reason on one line.
     """
     from repro import competitors
 
     competitors.install()  # scenario docs may name plug-in schemes
     worker_id = worker_id or f"worker-{socket.gethostname()}-{os.getpid()}"
     try:
-        hello = _request(host, port, {"op": "hello", "worker": worker_id})
+        hello = _request(
+            host, port,
+            {"op": "hello", "worker": worker_id, "code": code_digest()},
+        )
     except OSError as exc:
         print(
             f"[service] worker {worker_id}: coordinator unreachable "
             f"at {host}:{port} ({exc})",
             file=sys.stderr,
         )
+        return 1
+    except ExperimentError as exc:
+        print(f"[service] worker {worker_id}: {exc}", file=sys.stderr)
         return 1
     cache = ResultCache(hello["cache_dir"])
     run = hello["run"]

@@ -1,15 +1,29 @@
 """The parallel execution engine: hashing, cache, pool, deterministic merge."""
 
-from dataclasses import replace
+import copy
+import dataclasses
+import errno
+import os
+import pickle
+import random
+import shutil
+import subprocess
+import sys
+from dataclasses import is_dataclass, replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import TransportConfig, small_interdc_config
+from repro.control.config import ControlConfig
 from repro.errors import ExperimentError
+from repro.experiments import parallel
 from repro.experiments.parallel import (
     ExperimentEngine,
     ResultCache,
     Uncacheable,
+    _canonical,
     resolve_workers,
     run_incast_batch,
     run_parallel,
@@ -17,6 +31,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import IncastScenario, run_incast
 from repro.experiments.sweeps import degree_sweep, run_scheme_summary, sweep_digest
+from repro.faults.plan import FaultPlan, LinkDown, PacketBlackhole
 from repro.units import megabytes, microseconds
 
 
@@ -33,6 +48,123 @@ def tiny_scenario() -> IncastScenario:
 
 def _square(x: int) -> int:  # top-level: picklable for the pool
     return x * x
+
+
+def _reference_canonical(value):
+    """The canonicalizer before per-type field caching (the oracle)."""
+    if is_dataclass(value) and not isinstance(value, type):
+        fields = {
+            f.name: _reference_canonical(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+        return {"__type__": type(value).__name__, **fields}
+    if isinstance(value, (list, tuple)):
+        return [_reference_canonical(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _reference_canonical(v) for k, v in sorted(value.items())}
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise Uncacheable(f"no stable representation for {type(value).__name__}")
+
+
+@pytest.fixture()
+def competitors():
+    """Install the competitor schemes, and always tear them down again."""
+    from repro.competitors import install, uninstall
+
+    install()
+    try:
+        yield
+    finally:
+        uninstall()
+
+
+def _perfbench_configs(monkeypatch):
+    """Every config the same-host benchmark computes a cache key for."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.workloads import WORKLOADS, make
+
+    configs = []
+    for name in WORKLOADS:
+        workload = make(name)
+        configs.extend(getattr(workload, "scenarios", None) or [workload.config])
+    return configs
+
+
+def _rich_scenario() -> IncastScenario:
+    """A scenario whose optional configs (faults, control) are all set."""
+    return IncastScenario(
+        faults=FaultPlan((
+            LinkDown(at_ps=5, link="backbone:1"),
+            PacketBlackhole(at_ps=7, duration_ps=3, drop_fraction=0.5),
+        )),
+        control=ControlConfig(),
+    )
+
+
+def _atom_paths(value, path=()):
+    """Every (path, atom) reached by walking dataclass fields and sequences."""
+    if is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _atom_paths(getattr(value, field.name), path + (field.name,))
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            yield from _atom_paths(item, path + (index,))
+    else:
+        yield path, value
+
+
+def _perturb(value, path):
+    """A copy of ``value`` with the atom at ``path`` changed (no validation)."""
+    if not path:
+        if isinstance(value, bool):
+            return not value
+        if isinstance(value, (int, float)):
+            return value * 2 + 1
+        if isinstance(value, str):
+            return value + "~"
+        assert value is None, value
+        return 1
+    head, rest = path[0], path[1:]
+    if isinstance(head, int):
+        items = list(value)
+        items[head] = _perturb(items[head], rest)
+        return type(value)(items)
+    clone = copy.copy(value)
+    object.__setattr__(clone, head, _perturb(getattr(value, head), rest))
+    return clone
+
+
+_KEY_PROGRAM = """
+import repro
+from repro.experiments.parallel import scenario_key
+from repro.experiments.runner import IncastScenario
+print(repro.__file__)
+print(scenario_key(IncastScenario(scheme="streamlined", degree=8)))
+"""
+
+
+def _key_in_subprocess(source_root: Path, hash_seed: str = "0") -> str:
+    """The scenario key a fresh interpreter computes from ``source_root``."""
+    env = dict(os.environ, PYTHONPATH=str(source_root), PYTHONHASHSEED=hash_seed)
+    done = subprocess.run(
+        [sys.executable, "-c", _KEY_PROGRAM], cwd=source_root, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    module_file, key = done.stdout.split()
+    assert Path(module_file).is_relative_to(source_root), module_file
+    return key
+
+
+def _copy_package(tmp_path: Path, name: str) -> Path:
+    """A copy of the ``repro`` source tree under ``tmp_path/name``."""
+    root = tmp_path / name
+    shutil.copytree(
+        Path(repro.__file__).parent, root / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return root
 
 
 class TestScenarioKey:
@@ -96,6 +228,66 @@ class TestScenarioKey:
             assert scenario_key(scenario) != first
         finally:
             SCHEME_REGISTRY.unregister("keytest")
+
+    def test_key_follows_the_simulator_source(self, tmp_path):
+        # Regression: keys hashed only the scenario, so a cache warmed
+        # before a simulator edit kept serving the old code's results.
+        edited = _copy_package(tmp_path, "edited")
+        port = edited / "repro" / "net" / "port.py"
+        line = "self._ps_per_byte = 8 * PS_PER_S / rate_bps"
+        assert line in port.read_text()
+        port.write_text(port.read_text().replace(line, line.replace("8 *", "16 *")))
+        cli_only = _copy_package(tmp_path, "cli-only")
+        with (cli_only / "repro" / "__main__.py").open("a") as fh:
+            fh.write("# an edit outside the simulation\n")
+        unedited = _copy_package(tmp_path, "unedited")
+
+        here = scenario_key(IncastScenario(scheme="streamlined", degree=8))
+        assert _key_in_subprocess(unedited) == here
+        assert _key_in_subprocess(cli_only) == here
+        assert _key_in_subprocess(edited) != here
+
+    def test_key_is_independent_of_the_hash_seed(self):
+        source_root = Path(repro.__file__).parent.parent
+        first = _key_in_subprocess(source_root, hash_seed="1")
+        assert _key_in_subprocess(source_root, hash_seed="2") == first
+        assert first == scenario_key(IncastScenario(scheme="streamlined", degree=8))
+
+    def test_code_digest_is_lazy_and_computed_once(self):
+        program = (
+            "import repro\n"
+            "from repro.experiments import parallel\n"
+            "from repro.experiments.runner import IncastScenario\n"
+            "assert parallel.code_digest.cache_info().misses == 0\n"
+            "parallel.scenario_key(IncastScenario())\n"
+            "parallel.scenario_key(IncastScenario(seed=1))\n"
+            "assert parallel.code_digest.cache_info().misses == 1\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_canonical_matches_the_reference(self, monkeypatch, competitors):
+        from repro.experiments.service import NAMED_GRIDS, named_grid
+
+        configs = _perfbench_configs(monkeypatch)
+        for grid in NAMED_GRIDS:
+            configs.extend(cell.scenario for cell in named_grid(grid).expand())
+        configs.append(_rich_scenario())
+        for config in configs:
+            assert repr(_canonical(config)) == repr(_reference_canonical(config))
+
+    def test_every_atom_changes_the_key(self):
+        scenario = _rich_scenario()
+        base = scenario_key(scenario)
+        paths = [path for path, _ in _atom_paths(scenario)]
+        assert ("control", "weight_model") in paths
+        assert ("faults", "events", 1, "drop_fraction") in paths
+        assert ("interdc", "fabric", "switch_queue", "ecn_low_bytes") in paths
+        for path in paths:
+            assert scenario_key(_perturb(scenario, path)) != base, path
 
 
 class TestRunParallel:
@@ -212,6 +404,41 @@ class TestResultCache:
         result = run_incast(tiny_scenario)
         cache.put(key, result)
         assert cache.get(key) is not None
+
+    def test_every_corrupt_entry_is_a_deleted_miss(self, tmp_path):
+        # Regression: some corrupt bytes raised ValueError or
+        # OverflowError out of get(), aborting the sweep.
+        rng = random.Random(12)
+        valid = pickle.dumps(
+            {"ict_ps": 123456789, "series": [1.5] * 40, "name": "baseline"},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        entries = [rng.randbytes(40) for _ in range(200)]
+        entries += [b"\x80\x63", b"not a pickle", valid[:1],
+                    valid[: len(valid) // 2], valid[:-1]]
+        cache = ResultCache(tmp_path)
+        for index, data in enumerate(entries):
+            key = f"{index:064x}"
+            path = cache.path_for(key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+            assert cache.get(key) is None, data
+            assert not path.exists(), data
+
+    def test_failed_put_leaves_no_temp_file(self, tiny_scenario, tmp_path,
+                                            monkeypatch):
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        cache = ResultCache(tmp_path)
+        monkeypatch.setattr(parallel.pickle, "dump", full_disk)
+        with pytest.raises(OSError):
+            cache.put(scenario_key(tiny_scenario), "value")
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        # the engine runs on uncached when the store fails
+        results = ExperimentEngine(workers=1, cache=cache).run_incasts([tiny_scenario])
+        assert results[0].completed
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     def test_uncacheable_scenarios_just_run(self, tiny_scenario, tmp_path):
         cache = ResultCache(tmp_path)

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.competitors import uninstall
 from repro.config import TransportConfig, small_interdc_config
 from repro.errors import ExperimentError
+from repro.experiments import service
 from repro.experiments.parallel import ResultCache
 from repro.experiments.runner import IncastScenario
 from repro.experiments.service import (
@@ -22,6 +24,7 @@ from repro.experiments.service import (
     batch_fingerprint,
     cells_from_spec,
     named_grid,
+    run_worker,
 )
 from repro.experiments.sweeps import (
     degree_sweep_spec,
@@ -167,6 +170,53 @@ class TestCoordinatorValidation:
             named_grid("no-such-grid")
 
 
+def _start(coordinator):
+    """Run ``coordinator`` on a thread; returns it once the port is bound."""
+    summary = {}
+    thread = threading.Thread(
+        target=lambda: summary.setdefault("value", coordinator.run())
+    )
+    thread.start()
+    deadline = time.monotonic() + 30.0
+    while coordinator.port == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert coordinator.port != 0, "coordinator never bound its port"
+    return thread, summary
+
+
+class TestCodeHandshake:
+    def test_worker_running_other_code_is_refused(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        spec = _tiny_spec()
+        coordinator = Coordinator(
+            cells_from_spec(spec), ResultCache(tmp_path / "queue"), workers=0
+        )
+        thread, summary = _start(coordinator)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(service, "code_digest", lambda: "f" * 64)
+                assert run_worker("127.0.0.1", coordinator.port, "stale") == 1
+            refusals = [
+                line for line in capsys.readouterr().err.splitlines()
+                if "worker stale" in line
+            ]
+            assert len(refusals) == 1, refusals
+            assert "f" * 12 in refusals[0]
+            assert coordinator.code[:12] in refusals[0]
+            # a worker running the coordinator's code finishes the grid
+            assert run_worker(
+                "127.0.0.1", coordinator.port, "current", idle_sleep_s=0.05
+            ) == 0
+            thread.join(timeout=120.0)
+            assert not thread.is_alive(), "coordinator never finished"
+        finally:
+            thread.join(timeout=10.0)
+            uninstall()  # run_worker installs the competitor schemes
+        assert summary["value"].executed == len(spec)
+        assert summary["value"].failed == 0
+
+
 def _run_cli(args, cwd):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -254,17 +304,8 @@ class TestServiceEndToEnd:
             cells_from_spec(spec), cache, workers=0, lease_ttl_s=1.0,
             on_result=lambda index, entry: results.__setitem__(index, entry),
         )
-        summary = {}
-        thread = threading.Thread(
-            target=lambda: summary.setdefault("value", coordinator.run())
-        )
-        thread.start()
+        thread, summary = _start(coordinator)
         try:
-            deadline = time.monotonic() + 30.0
-            while coordinator.port == 0 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert coordinator.port != 0, "coordinator never bound its port"
-
             def spawn():
                 env = dict(os.environ)
                 src = str(Path(__file__).resolve().parent.parent / "src")
